@@ -237,6 +237,13 @@ pub fn run_overlap_bench(args: &[String]) -> Result<(), String> {
         cores,
     );
     let _ = writeln!(report, "  \"executor\": \"{executor}\",");
+    // Nonzero only when TAGNN_PIN_THREADS asked for a placement the
+    // kernel refused (the run then went on unpinned).
+    let pin_failures = tagnn_tensor::pin_failures();
+    if pin_failures > 0 {
+        eprintln!("overlap-bench: warning: {pin_failures} thread pinning call(s) failed");
+    }
+    let _ = writeln!(report, "  \"pin_failures\": {pin_failures},");
     report.push_str("  \"digest_check\": \"ok\",\n");
     let _ = writeln!(
         report,

@@ -71,6 +71,7 @@ impl WalWriter {
             .read(true)
             .write(true)
             .create(true)
+            .truncate(false)
             .open(path)?;
         let recovery = scan_and_truncate(&mut file)?;
         file.seek(SeekFrom::Start(recovery.valid_len))?;

@@ -3,7 +3,6 @@
 use crate::error::GraphError;
 use crate::snapshot::Snapshot;
 use crate::types::VertexId;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -122,9 +121,11 @@ impl DynamicGraph {
     /// [`crate::plan::PlanKey`]. Two graphs with identical content hash
     /// identically regardless of how they were produced.
     pub fn fingerprint(&self) -> u64 {
+        // Sequential: off every hot path (only cached planning asks),
+        // and a serving window is too small to be worth a split.
         let per_snapshot: Vec<u64> = self
             .snapshots
-            .par_iter()
+            .iter()
             .map(|s| {
                 let mut h = FNV_OFFSET;
                 h = mix(h, s.num_vertices() as u64);

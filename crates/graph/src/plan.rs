@@ -614,8 +614,10 @@ impl WindowPlanner {
         graph: &DynamicGraph,
     ) -> Result<Vec<Arc<WindowPlan>>, WindowError> {
         let windows: Vec<&[Snapshot]> = graph.batches(self.k).collect();
+        // One window is a whole plan build: split down to single windows.
         windows
             .into_par_iter()
+            .with_min_len(1)
             .enumerate()
             .map(|(i, batch)| {
                 let refs: Vec<&Snapshot> = batch.iter().collect();
@@ -675,6 +677,7 @@ impl WindowPlanner {
             .collect();
         let built: Vec<(usize, Arc<WindowPlan>)> = missing
             .into_par_iter()
+            .with_min_len(1)
             .map(|i| {
                 let refs: Vec<&Snapshot> = windows[i].iter().collect();
                 (i, Arc::new(self.plan_window(&refs, i)))

@@ -54,6 +54,35 @@ const MODE_NORMAL: u8 = 1;
 const MODE_DELTA: u8 = 2;
 const MODE_SKIP: u8 = 3;
 
+/// One incremental layer's work and traffic counts (see
+/// `gnn_window`): integers, so a split sum equals the sequential one.
+#[derive(Debug, Default, Clone, Copy)]
+struct LayerCounts {
+    aggregate_macs: u64,
+    combine_macs: u64,
+    computed: u64,
+    reused: u64,
+    rows_loaded: u64,
+    rows_reused: u64,
+    structure_words: u64,
+}
+
+impl std::iter::Sum for LayerCounts {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| Self {
+            aggregate_macs: a.aggregate_macs + b.aggregate_macs,
+            combine_macs: a.combine_macs + b.combine_macs,
+            computed: a.computed + b.computed,
+            reused: a.reused + b.reused,
+            rows_loaded: a.rows_loaded + b.rows_loaded,
+            rows_reused: a.rows_reused + b.rows_reused,
+            structure_words: a.structure_words + b.structure_words,
+        })
+    }
+}
+
+impl rayon::ExactSum for LayerCounts {}
+
 /// Cross-snapshot GNN reuse granularity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReuseMode {
@@ -306,6 +335,7 @@ impl ConcurrentEngine {
         scratch.mask_a.reserve(n);
         scratch.mask_b.reserve(n);
         scratch.mask_changed0.reserve(n);
+        scratch.mask_feat.reserve(n);
         scratch.mask_topo.reserve(n);
         scratch.batch_pos.reserve(n);
         scratch.x_batch.reserve(n * cell_in);
@@ -550,12 +580,13 @@ impl ConcurrentEngine {
                 }
 
                 let mut h = DenseMatrix::zeros(n, hidden);
-                for (v, ctx) in ctxs.iter().enumerate() {
-                    h.set_row(v, &ctx.state.h);
-                }
+                h.as_mut_slice()
+                    .par_chunks_exact_mut(hidden.max(1))
+                    .zip(ctxs.par_iter())
+                    .for_each(|(row, ctx)| row.copy_from_slice(&ctx.state.h));
                 final_features.push(h);
-                gnn_outputs.push(z.clone());
             }
+            gnn_outputs.extend(zs);
 
             // Reuse accounting for the unaffected region: their feature rows
             // travel once per window instead of once per snapshot, saving
@@ -660,15 +691,16 @@ impl ConcurrentEngine {
         // reuse. Transform-first layers additionally pin their `X·W` table
         // for the window, so later snapshots can patch individual rows
         // (bit-compatible with the full GEMM) instead of redoing it.
-        let mut outputs0: Vec<DenseMatrix> = Vec::with_capacity(layers.len() + 1);
+        // `outputs0[l]` is layer `l`'s output; layer 0 reads the
+        // snapshot's own feature table.
+        let mut outputs0: Vec<DenseMatrix> = Vec::with_capacity(layers.len());
         let mut xw0s: Vec<Option<DenseMatrix>> = Vec::with_capacity(layers.len());
-        outputs0.push(first.features().clone());
         {
             let degp1 = scratch.degp1.take_uninit(n);
             gcn::fill_degp1(first, degp1);
             for (l, layer) in layers.iter().enumerate() {
                 let _span = obs_span(rec, "gnn_layer");
-                let x = outputs0.last().unwrap();
+                let x = outputs0.last().unwrap_or(first.features());
                 for v in 0..n as VertexId {
                     if !first.is_active(v) {
                         continue;
@@ -763,25 +795,31 @@ impl ConcurrentEngine {
         }
 
         let mut zs = Vec::with_capacity(refs.len());
-        zs.push(outputs0.last().unwrap().clone());
+        zs.push(outputs0.last().unwrap_or(first.features()).clone());
 
         for snap in &refs[1..] {
             let _span = obs_span(rec, "gnn_incremental");
             let degp1 = scratch.degp1.take_uninit(n);
             gcn::fill_degp1(snap, degp1);
-            // Layer-0 change set versus snapshot 0 (content-level, used for
-            // traffic accounting in both modes).
+            // Change masks versus snapshot 0, in one pass: the feature-row
+            // compare (which decides the layer-0 X·W refresh), the layer-0
+            // change set (content plus activity, used for traffic
+            // accounting in both modes) and the topology change.
             let changed0 = scratch.mask_changed0.take_uninit(n);
-            changed0.par_iter_mut().enumerate().for_each(|(vu, c)| {
-                let v = vu as VertexId;
-                *c = snap.is_active(v) != first.is_active(v)
-                    || (snap.is_active(v) && snap.feature(v) != first.feature(v));
-            });
+            let feat_changed = scratch.mask_feat.take_uninit(n);
             let topo_changed = scratch.mask_topo.take_uninit(n);
-            topo_changed.par_iter_mut().enumerate().for_each(|(vu, t)| {
-                let v = vu as VertexId;
-                *t = snap.neighbors(v) != first.neighbors(v);
-            });
+            changed0
+                .par_iter_mut()
+                .zip(feat_changed.par_iter_mut())
+                .zip(topo_changed.par_iter_mut())
+                .enumerate()
+                .for_each(|(vu, ((c, f), t))| {
+                    let v = vu as VertexId;
+                    *f = snap.feature(v) != first.feature(v);
+                    *c = snap.is_active(v) != first.is_active(v) || (snap.is_active(v) && *f);
+                    *t = snap.neighbors(v) != first.neighbors(v);
+                });
+            let feat_changed = &*feat_changed;
 
             let mut changed_in = scratch.mask_a.take_uninit(n);
             changed_in.copy_from_slice(changed0);
@@ -829,7 +867,7 @@ impl ConcurrentEngine {
                 } else {
                     &cur[..n * in_dim]
                 };
-                let reused = &outputs0[l + 1];
+                let reused = &outputs0[l];
                 let last = l + 1 == layers.len();
                 let out: &mut [f32] = if last {
                     z.as_mut_slice()
@@ -849,9 +887,8 @@ impl ConcurrentEngine {
                         .par_chunks_exact_mut(out_dim)
                         .enumerate()
                         .for_each(|(vu, row)| {
-                            let v = vu as VertexId;
                             let content_changed = if l == 0 {
-                                snap.feature(v) != first.feature(v)
+                                feat_changed[vu]
                             } else {
                                 changed_in[vu]
                             };
@@ -866,16 +903,11 @@ impl ConcurrentEngine {
                     let degp1 = &*degp1;
                     out.par_chunks_exact_mut(out_dim)
                         .enumerate()
+                        .by_work(gcn::degree_work(snap))
                         .for_each(|(vu, row)| {
                             if recompute[vu] {
-                                layer.aggregate_row_into(
-                                    snap,
-                                    xw_cur,
-                                    out_dim,
-                                    degp1,
-                                    vu as VertexId,
-                                    row,
-                                );
+                                let v = vu as VertexId;
+                                layer.aggregate_row_into(snap, xw_cur, out_dim, degp1, v, row);
                                 layer.activation().apply(row);
                             } else {
                                 row.copy_from_slice(reused.row(vu));
@@ -890,16 +922,11 @@ impl ConcurrentEngine {
                         let degp1 = &*degp1;
                         agg.par_chunks_exact_mut(in_dim)
                             .enumerate()
+                            .by_work(gcn::degree_work(snap))
                             .for_each(|(vu, row)| {
                                 if recompute[vu] {
-                                    layer.aggregate_row_into(
-                                        snap,
-                                        input,
-                                        in_dim,
-                                        degp1,
-                                        vu as VertexId,
-                                        row,
-                                    );
+                                    let v = vu as VertexId;
+                                    layer.aggregate_row_into(snap, input, in_dim, degp1, v, row);
                                 }
                             });
                     }
@@ -915,36 +942,49 @@ impl ConcurrentEngine {
                         });
                 }
 
-                // Work and traffic accounting.
-                for v in 0..n as VertexId {
-                    if !snap.is_active(v) {
-                        continue;
-                    }
-                    let deg = snap.csr().degree(v) as u64;
-                    if recompute[v as usize] {
-                        stats.gnn_aggregate_macs += (deg + 1) * layer.in_dim() as u64;
-                        stats.gnn_combine_macs += (layer.in_dim() * layer.out_dim()) as u64;
-                        stats.gnn_vertices_computed += 1;
-                        if l == 0 {
-                            // Only rows whose content actually changed must
-                            // be re-fetched; the rest sit in feature memory
-                            // from the cold pass.
-                            let mut loaded = u64::from(changed0[v as usize]);
-                            for &u in snap.neighbors(v) {
-                                loaded += u64::from(changed0[u as usize]);
-                            }
-                            stats.feature_rows_loaded += loaded;
-                            stats.feature_rows_reused += deg + 1 - loaded;
-                            stats.structure_words_loaded +=
-                                if topo_changed[v as usize] { 2 + deg } else { 0 };
-                        } else {
-                            stats.feature_rows_reused += deg + 1;
+                // Work and traffic accounting: per-vertex integer counts,
+                // summed in vertex order.
+                let counts: LayerCounts = (0..n as VertexId)
+                    .into_par_iter()
+                    .map(|v| {
+                        let mut c = LayerCounts::default();
+                        if !snap.is_active(v) {
+                            return c;
                         }
-                    } else {
-                        stats.feature_rows_reused += deg + 1;
-                        stats.gnn_vertices_reused += 1;
-                    }
-                }
+                        let deg = snap.csr().degree(v) as u64;
+                        if recompute[v as usize] {
+                            c.aggregate_macs = (deg + 1) * in_dim as u64;
+                            c.combine_macs = (in_dim * out_dim) as u64;
+                            c.computed = 1;
+                            if l == 0 {
+                                // Only rows whose content actually changed
+                                // must be re-fetched; the rest sit in feature
+                                // memory from the cold pass.
+                                let mut loaded = u64::from(changed0[v as usize]);
+                                for &u in snap.neighbors(v) {
+                                    loaded += u64::from(changed0[u as usize]);
+                                }
+                                c.rows_loaded = loaded;
+                                c.rows_reused = deg + 1 - loaded;
+                                c.structure_words =
+                                    if topo_changed[v as usize] { 2 + deg } else { 0 };
+                            } else {
+                                c.rows_reused = deg + 1;
+                            }
+                        } else {
+                            c.rows_reused = deg + 1;
+                            c.reused = 1;
+                        }
+                        c
+                    })
+                    .sum();
+                stats.gnn_aggregate_macs += counts.aggregate_macs;
+                stats.gnn_combine_macs += counts.combine_macs;
+                stats.gnn_vertices_computed += counts.computed;
+                stats.gnn_vertices_reused += counts.reused;
+                stats.feature_rows_loaded += counts.rows_loaded;
+                stats.feature_rows_reused += counts.rows_reused;
+                stats.structure_words_loaded += counts.structure_words;
 
                 if !last {
                     std::mem::swap(&mut cur, &mut next);
@@ -1060,7 +1100,8 @@ impl ConcurrentEngine {
     /// retires one. The executor memcpys the staged rows into its own
     /// arena (a vanishing cost next to the GEMMs they inform) and
     /// returns the buffer to the ring. With `TAGNN_PIN_THREADS` the
-    /// planner pins itself to the core after the rayon workers' range.
+    /// planner pins itself to the core after the rayon workers' range,
+    /// modulo the core count.
     ///
     /// Output is bit-identical to [`Self::run`]: plans are
     /// deterministic pure functions of their window, the staged scan is
@@ -1116,10 +1157,14 @@ impl ConcurrentEngine {
         std::thread::scope(|scope| {
             let planner_handle = scope.spawn(move || {
                 if affinity::pinning_enabled() {
-                    // Rayon workers (when pinned) occupy cores
-                    // 0..num_threads; the planner takes the next one so
-                    // plan-build never time-slices against a GEMM.
-                    let _ = affinity::pin_current_thread(rayon::current_num_threads());
+                    // Pinned pool workers occupy cores 1..num_threads
+                    // (the calling thread runs piece 0 unpinned); the
+                    // planner takes the next core, wrapped to the cores
+                    // that exist. On a host the pool fills, that is core
+                    // 0, beside the calling thread. A failed pin is
+                    // counted in `affinity::pin_failures`.
+                    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+                    affinity::pin_current_thread(rayon::current_num_threads() % cores);
                 }
                 let planner = WindowPlanner::new(k);
                 for (i, batch) in graph.batches(k).enumerate() {

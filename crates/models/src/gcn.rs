@@ -18,9 +18,30 @@ use tagnn_tensor::{init, ops, Activation, DenseMatrix};
 /// Panics if `out.len() != snap.num_vertices()`.
 pub fn fill_degp1(snap: &Snapshot, out: &mut [f32]) {
     assert_eq!(out.len(), snap.num_vertices(), "degp1 length mismatch");
-    out.par_iter_mut().enumerate().for_each(|(v, d)| {
+    // Sequential: one offset subtraction per vertex is too little work
+    // to pay for a parallel dispatch.
+    for (v, d) in out.iter_mut().enumerate() {
         *d = (snap.csr().degree(v as VertexId) + 1) as f32;
-    });
+    }
+}
+
+/// Aggregation work before vertex `v`: the sum of `deg(u) + 1` over
+/// `u < v`, read off the CSR offsets, for `v` in `0..=n`. Row-parallel
+/// aggregations cut their pieces at equal shares of it (`by_work`):
+/// the paper's Task Dispatcher rule of spreading vertex rows over
+/// compute units by degree, so a piece full of hubs gets fewer rows.
+/// Pieces stay contiguous and each row runs the sequential code, so
+/// the output is the same bits at any thread count.
+pub(crate) fn degree_work(snap: &Snapshot) -> impl Fn(usize) -> usize + Sync + Send + '_ {
+    let csr = snap.csr();
+    let n = csr.num_vertices();
+    move |v| {
+        if v < n {
+            csr.offset_range(v as VertexId).0 + v
+        } else {
+            csr.num_edges() + n
+        }
+    }
 }
 
 /// How neighbour features are combined before the dense transform — the
@@ -232,7 +253,8 @@ impl GcnLayer {
     }
 
     /// [`Self::aggregate_row_into`] for every vertex, parallel over
-    /// rows. `x` and `out` are both `num_vertices · dim` flat tables.
+    /// degree-balanced row pieces (`degree_work`). `x` and
+    /// `out` are both `num_vertices · dim` flat tables.
     pub fn aggregate_rows_into(
         &self,
         snap: &Snapshot,
@@ -246,6 +268,7 @@ impl GcnLayer {
         }
         out.par_chunks_exact_mut(dim)
             .enumerate()
+            .by_work(degree_work(snap))
             .for_each(|(v, row)| {
                 self.aggregate_row_into(snap, x, dim, degp1, v as VertexId, row);
             });

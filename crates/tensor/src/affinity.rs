@@ -13,6 +13,8 @@
 //! syscall. Non-Linux (or non-x86_64) builds compile the same API as a
 //! no-op that reports failure, which callers treat as "run unpinned".
 
+use std::sync::atomic::{AtomicU64, Ordering};
+
 /// Whether the user asked for thread pinning (`TAGNN_PIN_THREADS=1` or
 /// `true`, case-insensitive). Read per call so tests can flip it.
 pub fn pinning_enabled() -> bool {
@@ -24,13 +26,26 @@ pub fn pinning_enabled() -> bool {
         .unwrap_or(false)
 }
 
+static PIN_FAILURES: AtomicU64 = AtomicU64::new(0);
+
 /// Pins the calling thread to logical CPU `core` (modulo the visible CPU
 /// count is the caller's concern — an out-of-range core fails). Returns
 /// `true` when the affinity mask was applied, `false` when pinning is
 /// unsupported on this platform or the kernel rejected the mask; callers
 /// must treat `false` as "keep running unpinned", never as an error.
+/// Every failure is also counted in [`pin_failures`], so a report can
+/// show that a requested placement did not happen.
 pub fn pin_current_thread(core: usize) -> bool {
-    pin_impl(core)
+    let pinned = pin_impl(core);
+    if !pinned {
+        PIN_FAILURES.fetch_add(1, Ordering::Relaxed);
+    }
+    pinned
+}
+
+/// How many [`pin_current_thread`] calls in this process failed.
+pub fn pin_failures() -> u64 {
+    PIN_FAILURES.load(Ordering::Relaxed)
 }
 
 #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -83,7 +98,10 @@ mod tests {
     fn pin_to_core_zero_succeeds_on_linux() {
         // Core 0 exists on every machine; the syscall path must apply.
         assert!(pin_current_thread(0));
-        // A core far past any real machine must be rejected, not UB.
+        // A core far past any real machine must be rejected, not UB,
+        // and counted.
+        let failures = pin_failures();
         assert!(!pin_current_thread(16 * 64));
+        assert!(pin_failures() > failures);
     }
 }

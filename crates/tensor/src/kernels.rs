@@ -670,6 +670,8 @@ pub struct Scratch {
     pub mask_b: ScratchBuf<bool>,
     /// Layer-0 content-change mask.
     pub mask_changed0: ScratchBuf<bool>,
+    /// Feature-row change mask (row content only, activity ignored).
+    pub mask_feat: ScratchBuf<bool>,
     /// Topology-change mask.
     pub mask_topo: ScratchBuf<bool>,
     /// Sorted nonzero-row index list for [`spmm_csr_into`] dispatch.
@@ -701,6 +703,7 @@ impl Scratch {
             + self.mask_a.growth_events()
             + self.mask_b.growth_events()
             + self.mask_changed0.growth_events()
+            + self.mask_feat.growth_events()
             + self.mask_topo.growth_events()
             + self.nz_rows.growth_events()
     }

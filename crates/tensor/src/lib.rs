@@ -20,7 +20,7 @@ pub mod ops;
 pub mod similarity;
 
 pub use activation::Activation;
-pub use affinity::{pin_current_thread, pinning_enabled};
+pub use affinity::{pin_current_thread, pin_failures, pinning_enabled};
 pub use dispatch::{DispatchMode, DispatchTally, Dispatcher, RowBitmap};
 pub use kernels::{Scratch, ScratchBuf, ScratchPair};
 pub use matrix::DenseMatrix;
